@@ -213,6 +213,7 @@ def read_trace(path, strict: bool = False) -> TraceFile:
         last_ts = max(last_ts, ev.get("ts", 0.0) / 1e6)
         stack = stacks.setdefault(tid, [])
         if ph == "B":
+            attrs = dict(ev.get("args", {}))
             span = Span(
                 name=ev.get("name", "?"),
                 span_id=next_id,
@@ -220,7 +221,8 @@ def read_trace(path, strict: bool = False) -> TraceFile:
                 track=names.get(tid, f"tid:{tid}"),
                 start=ev.get("ts", 0.0) / 1e6,
                 end=ev.get("ts", 0.0) / 1e6,
-                attrs=dict(ev.get("args", {})),
+                cpu=float(attrs.pop("cpu_s", 0.0)),
+                attrs=attrs,
             )
             next_id += 1
             stack.append(span)

@@ -255,16 +255,11 @@ def canonical_signature(
     lat = frame.lattice
     n, d = lat.shape
     feats = _as_features(features, n)
-    best: bytes | None = None
-    for perm, signs in orientation_transforms(max(d, 1)) if d else [((), ())]:
-        _, rows, order = _oriented_rows(lat, feats, perm, signs)
-        cand = np.ascontiguousarray(rows[order]).tobytes()
-        if best is None or cand < best:
-            best = cand
+    best, _ = _point_set_ties(lat, feats)
     h = hashlib.sha256()
     h.update(np.asarray([n, d, feats.shape[1]], dtype=np.int64).tobytes())
     h.update(b"|")
-    h.update(best if best is not None else b"")
+    h.update(best)
     return h.hexdigest()
 
 
@@ -279,27 +274,48 @@ def _as_features(features: np.ndarray | None, n: int) -> np.ndarray:
     return feats
 
 
-def _oriented_rows(
-    lattice: np.ndarray,
-    feats: np.ndarray,
-    perm: tuple[int, ...],
-    signs: tuple[int, ...],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lattice under one axis perm/flip, its labelled rows, and their lexsort.
+def _minimal(cands, segment) -> tuple[bytes, list]:
+    """Smallest ``segment(cand)`` and the candidates tying for it, in input
+    order (the first is what a strict ``<`` scan would keep)."""
+    best, kept = None, []
+    for cand in cands:
+        seg = segment(cand)
+        if best is None or seg < best:
+            best, kept = seg, [cand]
+        elif seg == best:
+            kept.append(cand)
+    return best, kept
 
-    Returns ``(pts, rows, order)``: the transformed lattice shifted back to a
-    zero minimum, the ``[pts | feats]`` row matrix, and the lexicographic
-    sort order of its rows (the candidate canonical DOF order).
+
+def _point_set_ties(lattice: np.ndarray, feats: np.ndarray) -> tuple[bytes, list[tuple]]:
+    """Stage 1 of every orientation search: the labelled point set.
+
+    Each axis perm/flip of *lattice* is shifted back to a zero minimum and
+    its ``[pts | feats]`` rows are lexsorted (the candidate DOF order); the
+    flips of one axis permutation are sorted as one stacked array.  Returns
+    the smallest sorted-row bytes and, in enumeration order, the
+    ``(perm, signs, order, pts)`` of each transform tying for them (``pts``
+    in sorted row order).
     """
-    n = lattice.shape[0]
-    pts = lattice[:, perm] * np.asarray(signs, dtype=np.int64)
-    if n:
-        pts = pts - pts.min(axis=0)
-    rows = np.concatenate([pts, feats], axis=1)
-    order = (
-        np.lexsort(rows.T[::-1]) if rows.size else np.arange(n, dtype=np.intp)
+    n, d = lattice.shape
+    transforms = orientation_transforms(d) if d else [((), ())]
+    flips = transforms[: 2**d]
+    signs = np.asarray([s for _, s in flips], dtype=np.int64).reshape(len(flips), 1, d)
+    feats = np.broadcast_to(feats, (len(flips), *feats.shape))
+
+    def oriented(perm):
+        pts = lattice[:, perm] * signs
+        rows = np.concatenate([pts - pts.min(axis=1, keepdims=True) if n else pts, feats], 2)
+        keys = np.moveaxis(rows, 2, 0)[::-1]
+        order = np.lexsort(keys) if len(keys) else np.zeros((len(flips), n), dtype=np.intp)
+        rows = np.take_along_axis(rows, order[:, :, None], axis=1)
+        for f, (_, flip) in enumerate(flips):
+            yield rows[f].tobytes(), (perm, flip, order[f], rows[f, :, :d])
+
+    best, ties = _minimal(
+        (c for perm, _ in transforms[:: len(flips)] for c in oriented(perm)), lambda c: c[0]
     )
-    return pts, rows, np.asarray(order, dtype=np.intp)
+    return best, [tie for _, tie in ties]
 
 
 def quantize_pattern(
@@ -422,12 +438,7 @@ def rotation_signature(
     lat = frame.lattice
     n, d = lat.shape
     feats = _as_features(features, n)
-    best: bytes | None = None
-    for perm, signs in orientation_transforms(max(d, 1)) if d else [((), ())]:
-        _, rows, order = _oriented_rows(lat, feats, perm, signs)
-        cand = np.ascontiguousarray(rows[order]).tobytes()
-        if best is None or cand < best:
-            best = cand
+    best, _ = _point_set_ties(lat, feats)
     centred = aligned - aligned.mean(axis=0) if n else aligned
     radii = np.linalg.norm(centred, axis=1) if n else np.empty(0)
     quantum = frame.quantum if frame.scale > 0.0 else tolerance
@@ -437,7 +448,7 @@ def rotation_signature(
         np.asarray([n, d, feats.shape[1], int(rotated)], dtype=np.int64).tobytes()
     )
     h.update(b"|rot|")
-    h.update(best if best is not None else b"")
+    h.update(best)
     h.update(b"|")
     h.update(radius_multiset.tobytes())
     return h.hexdigest()
@@ -520,37 +531,47 @@ def near_signature(
     return h.hexdigest()
 
 
-def _pattern_bytes(a: sp.spmatrix) -> bytes:
-    ac = a.tocsc()
-    ac.sort_indices()
+def _csc_entries(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(col, row)`` of COO entries with *n* rows, in CSC order (duplicates
+    kept, as a CSC conversion keeps them)."""
+    return np.divmod(np.sort(cols.astype(np.int64) * max(n, 1) + rows), max(n, 1))
+
+
+def _pattern_bytes(rows: np.ndarray, cols: np.ndarray, n: int) -> bytes:
+    """CSC pattern bytes (shape, indptr, indices) of an ``(n, n)`` COO pattern."""
+    col, row = _csc_entries(rows, cols, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
     return b"".join(
-        np.ascontiguousarray(np.asarray(arr, dtype=np.int64)).tobytes() + b"|"
-        for arr in (np.asarray(ac.shape), ac.indptr, ac.indices)
+        np.asarray(arr, dtype=np.int64).tobytes() + b"|" for arr in ((n, n), indptr, row)
     )
 
 
-def _canonical_columns(bt_rows: sp.spmatrix) -> tuple[np.ndarray, bytes]:
-    """Canonical column order of a gluing matrix with relabeled rows.
+def _canonical_columns(
+    rows: np.ndarray, cols: np.ndarray, n: int, m: int
+) -> tuple[np.ndarray, bytes]:
+    """Canonical column order of an ``(n, m)`` COO gluing pattern with
+    relabeled rows.
 
     Columns are sorted by ``(nnz, row-index sequence)`` — a total order that
     depends only on which *canonical* DOF slots each column touches, so two
     mirror-identical subdomains (whose relabeled row sets coincide) sort
-    their columns into bit-equal patterns.  Columns with identical patterns
+    their columns into bit-equal patterns.  One stable ``lexsort`` over the
+    nnz and the zero-padded row matrix: columns with identical patterns
     (redundant multipliers on one DOF) keep their relative order; any
     resolution of that tie yields the same pattern.  Returns the column
     permutation (canonical position ``j`` holds original column
-    ``col_perm[j]``) and the sorted key bytes.
+    ``col_perm[j]``) and the key bytes (each column's big-endian rows, then
+    ``;``, in canonical order).
     """
-    bc = bt_rows.tocsc()
-    bc.sort_indices()
-    m = bc.shape[1]
-    keys = []
-    for j in range(m):
-        rows = np.asarray(bc.indices[bc.indptr[j] : bc.indptr[j + 1]], dtype=">i8")
-        keys.append((rows.size, rows.tobytes()))
-    col_perm = np.asarray(sorted(range(m), key=keys.__getitem__), dtype=np.intp)
-    key_bytes = b"".join(keys[j][1] + b";" for j in col_perm)
-    return col_perm, key_bytes
+    col, row = _csc_entries(rows, cols, n)
+    nnz = np.bincount(col, minlength=m)
+    padded = np.zeros((m, int(nnz.max()) if m else 0), dtype=np.int64)
+    padded[col, np.arange(col.size) - (np.cumsum(nnz) - nnz)[col]] = row
+    col_perm = np.lexsort(np.vstack([padded.T[::-1], nnz]))
+    row = row[np.argsort(_invert(col_perm)[col], kind="stable")]
+    keys = np.insert(row.astype(">i8").view(np.uint8), np.cumsum(8 * nnz[col_perm]), ord(";"))
+    return col_perm, keys.tobytes()
 
 
 def _invert(perm: np.ndarray) -> np.ndarray:
@@ -753,28 +774,37 @@ def canonical_relabeling(
     if bt is not None:
         require(sp.issparse(bt), "bt must be sparse")
         require(bt.shape[0] == n, "bt must have one row per DOF")
-        btr = bt.tocsr()
-        multiplicity = np.asarray(btr.getnnz(axis=1), dtype=np.int64)
+        btr = bt.tocsr().tocoo()
+        multiplicity = np.bincount(btr.row, minlength=n).astype(np.int64)
     if k is not None:
         require(sp.issparse(k), "k must be sparse")
         require(k.shape == (n, n), "k must be square with one row per DOF")
-        kq = quantize_pattern(k, value_tolerance)
+        kq = quantize_pattern(k, value_tolerance).tocoo()
     feats = _as_features(multiplicity, n)
 
-    best = None
-    for perm, signs in orientation_transforms(max(d, 1)) if d else [((), ())]:
-        pts, rows, order = _oriented_rows(lat, feats, perm, signs)
-        cand = np.ascontiguousarray(rows[order]).tobytes()
-        cp = np.empty(0, dtype=np.intp)
-        if kq is not None:
-            cand += b"#" + _pattern_bytes(kq[order][:, order])
-        if btr is not None:
-            cp, col_bytes = _canonical_columns(btr[order])
-            cand += b"#" + col_bytes
-        if best is None or cand < best[0]:
-            best = (cand, perm, signs, order, pts[order], cp)
+    # Staged search: the point-set, K-pattern and column-key segments each
+    # have one length for every transform, so the minimum of their
+    # concatenation is decided segment by segment, and only the transforms
+    # still tied pay for the next one.
+    cand, ties = _point_set_ties(lat, feats)
+    if kq is not None:
 
-    cand, axis_perm, axis_signs, dof_perm, lattice, col_perm = best
+        def k_segment(tie):
+            inverse = _invert(tie[2])
+            return _pattern_bytes(inverse[kq.row], inverse[kq.col], n)
+
+        k_bytes, ties = _minimal(ties, k_segment)
+        cand += b"#" + k_bytes
+    col_perm = np.empty(0, dtype=np.intp)
+    if btr is not None:
+
+        def columns(tie):
+            return _canonical_columns(_invert(tie[2])[btr.row], btr.col, n, btr.shape[1])
+
+        _, ties = _minimal(ties, lambda tie: columns(tie)[1])
+        col_perm, col_bytes = columns(ties[0])
+        cand += b"#" + col_bytes
+    axis_perm, axis_signs, dof_perm, lattice = ties[0]
     h = hashlib.sha256()
     h.update(
         np.asarray(
@@ -797,9 +827,9 @@ def canonical_relabeling(
         signature=h.hexdigest(),
         axis_perm=tuple(int(p) for p in axis_perm),
         axis_signs=tuple(int(s) for s in axis_signs),
-        dof_perm=dof_perm,
+        dof_perm=dof_perm.copy(),
         col_perm=col_perm,
-        lattice=lattice,
+        lattice=lattice.copy(),
         tolerance=tolerance,
         value_tolerance=value_tolerance,
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,6 +306,37 @@ def test_chrome_trace_roundtrip(tmp_path):
     assert metrics["counters"]["k"] == 2
 
 
+def test_read_trace_roundtrips_cpu(tmp_path):
+    """Span CPU time is saved as ``cpu_s`` and read back into ``Span.cpu``
+    (not left in ``attrs``): save -> read_trace -> save keeps every span's
+    name, track, times, CPU and attributes."""
+    from repro.obs import read_trace, write_chrome_trace
+
+    tracer = Tracer()
+    with tracer.span("outer"):
+        with tracer.span("inner", x=1):
+            sum(range(20000))
+    tracer.add_span("k", start=0.0, end=1.0, track="sim:gpu:a#0")
+    saved = {s.name: s for s in tracer.spans()}
+    assert saved["inner"].cpu > 0.0
+    first = tracer.trace().save(tmp_path / "first.json")
+    loaded = read_trace(first, strict=True)
+    assert {s.name for s in loaded.spans} == set(saved)
+    for span in loaded.spans:
+        assert span.cpu == saved[span.name].cpu
+        assert span.attrs == saved[span.name].attrs
+        assert "cpu_s" not in span.attrs
+    second = write_chrome_trace(tmp_path / "second.json", loaded.spans)
+
+    def events(path):
+        return [
+            (e["ph"], e["name"], e["tid"], e.get("args"), pytest.approx(e.get("ts")))
+            for e in json.loads(Path(path).read_text())["traceEvents"]
+        ]
+
+    assert events(second) == events(first)
+
+
 def test_load_chrome_trace_rejects_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({
@@ -399,18 +431,6 @@ def test_gantt_paints_worker_rows():
         assert " " not in body
     with pytest.raises(ValueError):
         gantt(schedule, "cpu", 2, width=5)
-
-
-def test_runtime_trace_shim_warns_and_matches():
-    import repro.runtime.trace as shim
-    from repro.obs.render import render_schedule as direct
-
-    schedule = _schedule(3)
-    with pytest.warns(DeprecationWarning, match="repro.obs.render"):
-        via_shim = shim.render_schedule(schedule)
-    assert via_shim == direct(schedule)
-    with pytest.warns(DeprecationWarning):
-        assert shim.gantt(schedule, "cpu", 2) == gantt(schedule, "cpu", 2)
 
 
 # -- end-to-end batch instrumentation ---------------------------------------

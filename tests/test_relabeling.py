@@ -11,6 +11,8 @@ assembly at tight tolerance.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -30,9 +32,12 @@ from repro.feti.operator import factorize_subdomain
 from repro.feti.planner import plan_population
 from repro.sparse import (
     CanonicalRelabeling,
+    canonical_frame,
     canonical_relabeling,
+    canonical_signature,
     orientation_transforms,
     quantize_pattern,
+    rotation_coords,
 )
 from tests.conftest import grid_coords, laplacian_2d
 
@@ -290,3 +295,233 @@ def test_items_from_decomposition_canonicalize_flag(floating_3x3):
     )
     assert batch.stats.n_groups == batch.stats.n_exact_groups == 9
     assert batch.stats.mirrors_shared == 0
+
+
+# ---------------------------------------------------------------------------
+# staged search == brute-force search, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _reference_relabeling(coords, k=None, bt=None, rotations=False):
+    """The brute-force orientation search the staged one must reproduce.
+
+    Builds the whole candidate byte string — sorted labelled point set,
+    relabeled quantized K pattern (SciPy fancy indexing), gluing-column
+    keys (one Python sort key per column) — for every transform and keeps
+    the first strict minimum.  Returns ``(signature, axis_perm, axis_signs,
+    dof_perm, col_perm, lattice)``.
+    """
+    coords = np.asarray(coords, dtype=np.float64)
+    rotated = False
+    if rotations:
+        coords, rotated = rotation_coords(coords)
+    lat = canonical_frame(coords).lattice
+    n, d = lat.shape
+    btr = None if bt is None else bt.tocsr()
+    feats = np.empty((n, 0), dtype=np.int64)
+    if btr is not None:
+        feats = btr.getnnz(axis=1).astype(np.int64)[:, None]
+    kq = None if k is None else quantize_pattern(k)
+    best = None
+    for perm, signs in orientation_transforms(d):
+        pts = lat[:, perm] * np.asarray(signs, dtype=np.int64)
+        pts = pts - pts.min(axis=0)
+        rows = np.concatenate([pts, feats], axis=1)
+        order = np.lexsort(rows.T[::-1])
+        cand = rows[order].tobytes()
+        col_perm = np.empty(0, dtype=np.intp)
+        if kq is not None:
+            kc = kq[order][:, order].tocsc()
+            kc.sort_indices()
+            cand += b"#" + b"".join(
+                np.asarray(a, dtype=np.int64).tobytes() + b"|"
+                for a in (kc.shape, kc.indptr, kc.indices)
+            )
+        if btr is not None:
+            bc = btr[order].tocsc()
+            bc.sort_indices()
+            keys = [
+                bc.indices[bc.indptr[j] : bc.indptr[j + 1]].astype(">i8").tobytes()
+                for j in range(bc.shape[1])
+            ]
+            col_perm = np.asarray(
+                sorted(range(len(keys)), key=lambda j: (len(keys[j]), keys[j])),
+                dtype=np.intp,
+            )
+            cand += b"#" + b"".join(keys[j] + b";" for j in col_perm)
+        if best is None or cand < best[0]:
+            best = (cand, perm, signs, order, col_perm, pts[order])
+    cand, *found = best
+    header = [n, d, feats.shape[1], k is not None, bt is not None, rotations + rotated]
+    h = hashlib.sha256(np.asarray(header, dtype=np.int64).tobytes() + b"|" + cand)
+    return (h.hexdigest(), *found)
+
+
+def _reference_signature(coords, feats):
+    """Brute-force :func:`canonical_signature`: hash of the smallest sorted
+    labelled point set over every transform."""
+    lat = canonical_frame(coords).lattice
+    n, d = lat.shape
+    cands = []
+    for perm, signs in orientation_transforms(d):
+        pts = lat[:, perm] * np.asarray(signs, dtype=np.int64)
+        rows = np.concatenate([pts - pts.min(axis=0), feats[:, None]], axis=1)
+        cands.append(rows[np.lexsort(rows.T[::-1])].tobytes())
+    header = np.asarray([n, d, 1], dtype=np.int64).tobytes()
+    return hashlib.sha256(header + b"|" + min(cands)).hexdigest()
+
+
+def _assert_matches_reference(coords, k, bt):
+    for kw in (
+        {"k": k, "bt": bt},
+        {"k": k, "bt": bt, "rotations": True},
+        {"k": k},
+        {"bt": bt},
+        {},
+    ):
+        rel = canonical_relabeling(coords, **kw)
+        sig, perm, signs, dof_perm, col_perm, lattice = _reference_relabeling(
+            coords, **kw
+        )
+        assert rel.signature == sig, sorted(kw)
+        assert (rel.axis_perm, rel.axis_signs) == (perm, signs), sorted(kw)
+        assert np.array_equal(rel.dof_perm, dof_perm), sorted(kw)
+        assert np.array_equal(rel.col_perm, col_perm), sorted(kw)
+        assert np.array_equal(rel.lattice, lattice), sorted(kw)
+    feats = bt.tocsr().getnnz(axis=1)
+    assert canonical_signature(coords, feats) == _reference_signature(coords, feats)
+
+
+def _decomposed(scenario):
+    from repro.fem import heat_problem, heat_transfer_3d
+    from repro.part import MESH_ZOO, make_mesh
+
+    if scenario == "cube-3x3x3":
+        return decompose(heat_transfer_3d(6, dirichlet=()), grid=(3, 3, 3)).subdomains
+    if scenario.startswith("square-"):
+        g = int(scenario[-1])
+        return decompose(heat_transfer_2d(2 * g, dirichlet=()), grid=(g, g)).subdomains
+    if scenario == "jittered-rcb16":
+        mesh = make_mesh("jittered", 12, seed=3)
+        return decompose(
+            heat_problem(mesh, dirichlet=()), n_subdomains=16, partitioner="rcb"
+        ).subdomains
+    assert scenario == "mesh-zoo"
+    subs = []
+    for name, (dim, _) in sorted(MESH_ZOO.items()):
+        mesh = make_mesh(name, 3 if dim == 3 else 8, seed=1)
+        subs += decompose(
+            heat_problem(mesh, dirichlet=()), n_subdomains=4, partitioner="rcb"
+        ).subdomains
+    return subs
+
+
+SCENARIOS = ["cube-3x3x3", "square-6", "square-5", "jittered-rcb16", "mesh-zoo"]
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_staged_search_matches_brute_force(scenario):
+    """Signature, axis perm/signs, DOF and column relabelings and lattice
+    equal the brute-force search on every subdomain of the decomposition,
+    with and without rotations and with *k* / *bt* omitted."""
+    for sub in _decomposed(scenario):
+        _assert_matches_reference(sub.coords, sub.k, sub.bt)
+
+
+def _interleaved_elasticity(nx, seed):
+    """2-D elasticity with two DOFs per node (coincident lattice points) and
+    a random signed one-entry-per-column gluing matrix."""
+    from repro.fem import assemble_elasticity, unit_square_mesh
+
+    mesh = unit_square_mesh(nx)
+    k = assemble_elasticity(mesh)
+    n = k.shape[0]
+    rng = np.random.default_rng(seed)
+    m = n // 2
+    bt = sp.csc_matrix(
+        (rng.choice([-1.0, 1.0], m), (rng.integers(0, n, m), np.arange(m))),
+        shape=(n, m),
+    )
+    return np.repeat(mesh.coords, 2, axis=0), k, bt
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_staged_search_matches_brute_force_interleaved_dofs(seed):
+    _assert_matches_reference(*_interleaved_elasticity(3, seed))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_staged_search_matches_brute_force_moved_inputs(seed):
+    """Randomly permuted, mirrored, axis-swapped and translated copies of
+    subdomains (DOFs and gluing columns shuffled too)."""
+    rng = np.random.default_rng(seed)
+    scenario = SCENARIOS[seed % len(SCENARIOS)]
+    subs = _decomposed(scenario)
+    inputs = [(s.coords, s.k, s.bt) for s in subs[:: max(1, len(subs) // 4)]]
+    inputs.append(_interleaved_elasticity(2, seed))
+    for coords, k, bt in inputs:
+        n, d = coords.shape
+        p = rng.permutation(n)
+        moved = coords[p][:, rng.permutation(d)] * rng.choice([-1.0, 1.0], d)
+        moved = moved + rng.integers(-64, 65, d)
+        bt_moved = bt.tocsr()[p].tocsc()[:, rng.permutation(bt.shape[1])]
+        _assert_matches_reference(moved, k.tocsr()[p][:, p], bt_moved)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    d=st.integers(1, 3),
+    m=st.integers(0, 8),
+)
+def test_staged_search_matches_brute_force_random_patterns(seed, n, d, m):
+    """Coarse random point sets (coincident points, many tied transforms),
+    non-symmetric K patterns and gluing columns with several entries."""
+    rng = np.random.default_rng(seed)
+    coords = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+    k = sp.random(n, n, density=0.3, random_state=rng, format="csr")
+    bt = sp.random(n, m, density=0.4, random_state=rng, format="csc")
+    _assert_matches_reference(coords, k, bt)
+
+
+def test_staged_search_index_keys_do_not_wrap():
+    """Column-major ``col * n + row`` keys exceed int32 when ``n * m`` does;
+    SciPy's int32 COO indices must not wrap them."""
+    n = m = 50_000
+    rng = np.random.default_rng(0)
+    rows = rng.integers(0, n, 64)
+    cols = np.concatenate([rng.integers(0, m, 62), [m - 1, m - 2]])
+    bt = sp.csc_matrix((np.ones(64), (rows, cols)), shape=(n, m))
+    assert bt.tocoo().col.dtype == np.int32
+    coords = rng.integers(0, 1000, n).astype(np.float64)[:, None]
+    rel = canonical_relabeling(coords, bt=bt)
+    sig, _, _, dof_perm, col_perm, _ = _reference_relabeling(coords, bt=bt)
+    assert rel.signature == sig
+    assert np.array_equal(rel.dof_perm, dof_perm)
+    assert np.array_equal(rel.col_perm, col_perm)
+
+
+#: Sorted ``(signature, members)`` of the floating 12^3 cube split 3x3x3 —
+#: the input of the ``assemble-3d`` benchmark.  The signature is a pattern-
+#: cache and artifact-store key component: a change here orphans stored
+#: artifacts and splits cache classes.
+CUBE_SIGNATURES = [
+    ("19634cf7938e76ff7fc1da77d146d2d5a1df36c6eae68a9768d4095aae81eeef", 6),
+    ("1fdaf67b4c1d0a53874f6a8262f5d499d6e7213417a10403c93428262c2e56ed", 12),
+    ("6b820f2e6e32aa3aab2327f79eab29066653e8c797a7dc6838fb95b5d324e9d9", 1),
+    ("e4dcf7cedcb9638e3d4b909da9e61267eedc316887090f77bb03beb4a59a104e", 8),
+]
+
+
+def test_cube_signatures_pinned():
+    from collections import Counter
+
+    from repro.fem import heat_transfer_3d
+
+    dec = decompose(heat_transfer_3d(12, dirichlet=()), grid=(3, 3, 3))
+    sigs = Counter(
+        canonical_relabeling(s.coords, k=s.k, bt=s.bt).signature
+        for s in dec.subdomains
+    )
+    assert sorted(sigs.items()) == CUBE_SIGNATURES
